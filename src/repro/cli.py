@@ -90,10 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--counting",
         choices=["bitmap", "single_pass", "cube", "vectorized", "parallel", "fptree"],
-        default="bitmap",
+        default="vectorized",
         help=(
             "contingency-table counting backend (vectorized = NumPy batch "
-            "sweeps, fptree = candidate-generation-free prefix-tree sweep)"
+            "sweeps, the default; fptree = candidate-generation-free "
+            "prefix-tree sweep)"
         ),
     )
     mine.add_argument(

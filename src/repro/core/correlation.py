@@ -16,6 +16,10 @@ which only visits occupied cells and therefore costs
 A :class:`CorrelationTest` bundles the statistic with the significance
 decision at a cutoff (3.84 at the paper's 95% level for the 1-dof
 tables) and with the rule-of-thumb validity diagnostics of §3.3.
+
+:func:`chi_squared_rows` evaluates the statistic for a whole lattice
+level at once, one row of a ``(c, 2^k)`` cell matrix per itemset; it is
+bit-identical to :func:`chi_squared` row by row.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "chi_squared_sparse",
     "chi_squared",
     "chi_squared_ignoring_small_cells",
+    "chi_squared_rows",
     "CorrelationResult",
     "CorrelationTest",
     "RobustResult",
@@ -122,6 +127,63 @@ def chi_squared(table: ContingencyTable) -> float:
     return chi_squared_dense(table)
 
 
+def chi_squared_rows(cells, marginals, n):
+    """:func:`chi_squared` of every row of a cell matrix, as one array pass.
+
+    ``cells`` is a ``(c, 2^k)`` integer NumPy array whose row ``i``
+    holds every cell count of table ``i`` (zero cells included),
+    ``marginals`` the ``(c, k)`` float array of its per-item occurrence
+    counts, and ``n`` the basket count shared by all tables.  Returns
+    the ``(c,)`` float64 array of statistics.
+
+    Every row gets the same bits :func:`chi_squared` gives its table,
+    so a decision against a cutoff can never flip:
+
+    * each row takes the formula :func:`chi_squared` would pick — the
+      sparse one when it has fewer occupied cells than ``2^k``;
+    * the expectation of a cell is ``n * f_0 * f_1 * ...`` multiplied in
+      the scalar code's factor order, built by the same doubling as
+      :func:`chi_squared_dense`;
+    * the sum runs over an explicit loop on the cell columns in
+      ascending cell order, never a reduction along the cell axis
+      (NumPy's pairwise summation would reassociate it).
+
+    A positive count on a zero expectation raises the scalar code's
+    ``ZeroDivisionError``.
+    """
+    import numpy as np
+
+    n_rows, n_cells = cells.shape
+    probabilities = marginals / n
+    expected = [np.full(n_rows, float(n))]
+    for j in range(probabilities.shape[1]):
+        p = probabilities[:, j]
+        absent = 1.0 - p
+        expected = [e * absent for e in expected] + [e * p for e in expected]
+    sparse = np.count_nonzero(cells, axis=1) < n_cells
+    total = np.zeros(n_rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for cell in range(n_cells):
+            observed = cells[:, cell].astype(np.float64)
+            e = expected[cell]
+            occupied = observed != 0.0
+            empty_model = e == 0.0
+            if np.any(occupied & empty_model):
+                raise ZeroDivisionError(
+                    "observed count in a cell with zero expectation; "
+                    "the independence model is degenerate for this table"
+                )
+            deviation = observed - e
+            term = np.where(
+                sparse,
+                observed * (observed - 2.0 * e) / e,
+                deviation * deviation / e,
+            )
+            counted = np.where(sparse, occupied, ~empty_model)
+            total = np.where(counted, total + term, total)
+    return np.where(sparse, np.maximum(total + n, 0.0), total)
+
+
 def chi_squared_ignoring_small_cells(
     table: ContingencyTable, min_expected: float
 ) -> float:
@@ -153,7 +215,6 @@ def chi_squared_ignoring_small_cells(
     return total
 
 
-@dataclass(frozen=True, slots=True)
 class CorrelationResult:
     """Outcome of a chi-squared correlation test on one itemset.
 
@@ -164,18 +225,88 @@ class CorrelationResult:
         p_value: upper-tail probability of the statistic at 1 dof (the
             paper's binomial-table convention, Appendix A).
         validity: rule-of-thumb diagnostics of the approximation (§3.3).
+
+    A miner builds its results with :meth:`deferred`: the p-value and
+    the validity are then computed on first access and cached, so a
+    mine that yields tens of thousands of rules pays for neither until
+    someone reads them.
     """
 
-    statistic: float
-    cutoff: float
-    correlated: bool
-    p_value: float
-    validity: ExpectedValueValidity
+    __slots__ = ("statistic", "cutoff", "correlated", "_p_value", "_validity", "_df", "_table")
+
+    def __init__(
+        self,
+        statistic: float,
+        cutoff: float,
+        correlated: bool,
+        p_value: float,
+        validity: ExpectedValueValidity,
+    ) -> None:
+        self.statistic = statistic
+        self.cutoff = cutoff
+        self.correlated = correlated
+        self._p_value = p_value
+        self._validity = validity
+        self._df = 1
+        self._table = None
+
+    @classmethod
+    def deferred(
+        cls, statistic: float, test: "CorrelationTest", table: ContingencyTable
+    ) -> "CorrelationResult":
+        """``test``'s verdict on ``table``, whose statistic is already known.
+
+        Equal to ``test(table)`` field for field (the statistic aside,
+        which the caller may have computed another way), but the p-value
+        and the validity wait until they are first read.
+        """
+        result = object.__new__(cls)
+        result.statistic = statistic
+        result.cutoff = test.cutoff
+        result.correlated = statistic >= test.cutoff
+        result._p_value = None
+        result._validity = None
+        result._df = test.df
+        result._table = table
+        return result
+
+    @property
+    def p_value(self) -> float:
+        """Upper-tail probability of the statistic (computed once)."""
+        if self._p_value is None:
+            self._p_value = chi2_dist.sf(self.statistic, self._df)
+        return self._p_value
+
+    @property
+    def validity(self) -> ExpectedValueValidity:
+        """The table's §3.3 validity diagnostics (computed once)."""
+        if self._validity is None:
+            self._validity = self._table.validity()
+            self._table = None
+        return self._validity
 
     @property
     def reliable(self) -> bool:
         """Whether the chi-squared approximation can be trusted (§3.3)."""
         return self.validity.is_valid
+
+    def _key(self) -> tuple:
+        return (self.statistic, self.cutoff, self.correlated, self.p_value, self.validity)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CorrelationResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"CorrelationResult(statistic={self.statistic!r}, cutoff={self.cutoff!r}, "
+            f"correlated={self.correlated!r}, p_value={self.p_value!r}, "
+            f"validity={self.validity!r})"
+        )
 
 
 class CorrelationTest:
@@ -227,14 +358,7 @@ class CorrelationTest:
 
     def __call__(self, table: ContingencyTable) -> CorrelationResult:
         """Run the full test: statistic, decision, p-value, validity."""
-        stat = self.statistic(table)
-        return CorrelationResult(
-            statistic=stat,
-            cutoff=self.cutoff,
-            correlated=stat >= self.cutoff,
-            p_value=chi2_dist.sf(stat, self.df),
-            validity=table.validity(),
-        )
+        return CorrelationResult.deferred(self.statistic(table), self, table)
 
     def is_correlated(self, table: ContingencyTable) -> bool:
         """Significance decision only (the hot path of the miner)."""

@@ -19,6 +19,7 @@ from repro.core.itemsets import Itemset
 __all__ = [
     "level",
     "apriori_join",
+    "apriori_gen",
     "all_subsets_satisfy",
     "is_upward_closed",
     "is_downward_closed",
@@ -54,6 +55,42 @@ def apriori_join(itemsets: Iterable[Itemset]) -> Iterator[Itemset]:
         lasts.sort()
         for a, b in combinations(lasts, 2):
             yield Itemset._from_sorted(prefix + (a, b))
+
+
+def apriori_gen(itemsets: Iterable[Itemset]) -> list[Itemset]:
+    """Every (i+1)-itemset whose i-subsets are all in ``itemsets``.
+
+    Step 8 of Figure 1 (the next level's CAND from NOTSIG) in one
+    prefix-grouped pass over the sorted itemsets.  Joining ``a < b``
+    from the run that shares an (i-1)-prefix ``P`` yields ``P + (a, b)``;
+    its other i-subsets are ``P - P[j] + (a, b)``, so the ``b`` that
+    survive for a given ``a`` are the later members of the run that
+    also end every run with prefix ``P - P[j] + (a,)`` — a few set
+    intersections per ``a`` instead of a lookup per candidate subset.
+    Candidates come out in lexicographic order, which on sorted input
+    is the order :func:`apriori_join` yields them in.
+    """
+    lasts_of: dict[tuple[int, ...], list[int]] = {}
+    for items in sorted(itemset.items for itemset in itemsets):
+        lasts_of.setdefault(items[:-1], []).append(items[-1])
+    if len({len(prefix) for prefix in lasts_of}) > 1:
+        raise ValueError("apriori_gen requires itemsets of a single size")
+    last_sets = {prefix: set(lasts) for prefix, lasts in lasts_of.items()}
+    empty: set[int] = set()
+    candidates: list[Itemset] = []
+    for prefix in sorted(lasts_of):
+        lasts = lasts_of[prefix]
+        reduced = [prefix[:j] + prefix[j + 1 :] for j in range(len(prefix))]
+        for index, a in enumerate(lasts):
+            allowed = set(lasts[index + 1 :])
+            for other in reduced:
+                if not allowed:
+                    break
+                allowed &= last_sets.get(other + (a,), empty)
+            head = prefix + (a,)
+            for b in sorted(allowed):
+                candidates.append(Itemset._from_sorted(head + (b,)))
+    return candidates
 
 
 def all_subsets_satisfy(

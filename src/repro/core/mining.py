@@ -84,7 +84,7 @@ def mine_correlations(
     support_count: float = 1,
     support_fraction: float = 0.26,
     max_level: int | None = None,
-    counting: str = "bitmap",
+    counting: str = "vectorized",
     workers: int | None = None,
     cache_size: int = 256,
     telemetry: "Telemetry | None" = None,
@@ -94,8 +94,9 @@ def mine_correlations(
 
     The main entry point; see :class:`ChiSquaredSupportMiner` for the
     advanced knobs reachable through ``kwargs``.  ``counting`` selects
-    the table-counting backend (``"bitmap"``, ``"single_pass"``,
-    ``"cube"``, the NumPy batch-sweep ``"vectorized"``, the sharded
+    the table-counting backend (the default NumPy batch-sweep
+    ``"vectorized"``, which falls back to pure Python without NumPy,
+    ``"bitmap"``, ``"single_pass"``, ``"cube"``, the sharded
     multi-process ``"parallel"``, whose shards themselves run the
     vectorized kernels when NumPy is available, or the
     candidate-generation-free FP-tree sweep ``"fptree"``); ``workers`` and

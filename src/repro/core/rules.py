@@ -10,12 +10,16 @@ kept for comparison experiments (Tables 3 vs 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.contingency import ContingencyTable
-from repro.core.correlation import CorrelationResult
+from repro.core.correlation import CorrelationResult, CorrelationTest
 from repro.core.interest import CellInterest, interest_table, most_extreme_cell
 from repro.core.itemsets import Itemset, ItemVocabulary
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernels import DeferredTables
 
 __all__ = ["CorrelationRule", "AssociationRule", "format_cell"]
 
@@ -37,7 +41,6 @@ def format_cell(
     return " ".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
 class CorrelationRule:
     """A correlated itemset with its statistical evidence.
 
@@ -46,17 +49,76 @@ class CorrelationRule:
         result: chi-squared statistic, cutoff, p-value, validity.
         table: the contingency table the decision was made on.
         minimal: True when no proper subset is correlated (border element).
+
+    The miner creates its rules with :meth:`deferred`: such a rule holds
+    only its itemset, its statistic and a reference to the row of the
+    level's cell matrix it was decided on.  ``table`` and ``result`` are
+    built on first access and cached, equal to what an eager rule holds.
     """
 
-    itemset: Itemset
-    result: CorrelationResult
-    table: ContingencyTable = field(repr=False)
-    minimal: bool = True
+    __slots__ = ("itemset", "minimal", "_statistic", "_test", "_result", "_table", "_source", "_row")
+
+    def __init__(
+        self,
+        itemset: Itemset,
+        result: CorrelationResult,
+        table: ContingencyTable,
+        minimal: bool = True,
+    ) -> None:
+        self.itemset = itemset
+        self.minimal = minimal
+        self._statistic = result.statistic
+        self._test = None
+        self._result = result
+        self._table = table
+        self._source = None
+        self._row = 0
+
+    @classmethod
+    def deferred(
+        cls,
+        itemset: Itemset,
+        statistic: float,
+        test: CorrelationTest,
+        source: "DeferredTables",
+        row: int,
+    ) -> "CorrelationRule":
+        """A minimal rule decided on row ``row`` of a level's cell matrix.
+
+        ``source`` builds the row's :class:`ContingencyTable` on request
+        (its ``table(row)``); ``test`` supplies the cutoff and degrees
+        of freedom of the evidence.
+        """
+        rule = object.__new__(cls)
+        rule.itemset = itemset
+        rule.minimal = True
+        rule._statistic = statistic
+        rule._test = test
+        rule._result = None
+        rule._table = None
+        rule._source = source
+        rule._row = row
+        return rule
+
+    @property
+    def table(self) -> ContingencyTable:
+        """The contingency table the decision was made on."""
+        if self._table is None:
+            self._table = self._source.table(self._row)
+            self._source = None
+        return self._table
+
+    @property
+    def result(self) -> CorrelationResult:
+        """The statistic, cutoff, p-value and validity of the test."""
+        if self._result is None:
+            self._result = CorrelationResult.deferred(self._statistic, self._test, self.table)
+        return self._result
 
     @property
     def statistic(self) -> float:
         """The chi-squared value."""
-        return self.result.statistic
+        return self._statistic
 
     @property
     def p_value(self) -> float:
@@ -84,6 +146,12 @@ class CorrelationRule:
         return (
             f"{{{names}}}: chi2={self.statistic:.3f} (p={self.p_value:.3g}), "
             f"major dependence [{cell}] I={major.interest:.3f}"
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"CorrelationRule(itemset={self.itemset!r}, result={self.result!r}, "
+            f"minimal={self.minimal!r})"
         )
 
 

@@ -21,6 +21,10 @@ bitmaps), and three kernels count contingency cells on it —
 * a **telemetry-driven dispatcher** (`repro.kernels.autotune`) that
   picks the kernel per batch from width, shape, and observed timings.
 
+:func:`count_cell_matrix` hands the miner a whole level as one
+:class:`CellMatrix` (`repro.kernels.matrix`), the form its columnar
+support and chi-squared tests run on.
+
 Every kernel computes exact integer counts, bit-identical to the
 pure-Python kernels in :mod:`repro.core.contingency` (the differential
 backend-equivalence suite enforces this).  The miner reaches this layer
@@ -44,20 +48,30 @@ from repro.core.contingency import ContingencyTable, count_cells
 from repro.core.itemsets import Itemset
 from repro.data.basket import BasketDatabase
 from repro.kernels.autotune import DISPATCH_MODES, KernelDispatcher
+from repro.kernels.matrix import MATRIX_CHUNK_CELLS, CellMatrix, DeferredTables
 from repro.kernels.packed import HAS_NUMPY, PackedBitmapIndex, popcount
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised in minimal installs
+    np = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
+    "CellMatrix",
     "DISPATCH_MODES",
+    "DeferredTables",
     "HAS_NUMPY",
     "KernelDispatcher",
+    "MATRIX_CHUNK_CELLS",
     "MOEBIUS_MAX_ITEMS",
     "PackedBitmapIndex",
     "count_cells_batch",
     "count_cells_batch_packed",
     "count_cells_vectorized",
+    "count_cell_matrix",
     "count_tables_vectorized",
     "popcount",
 ]
@@ -146,11 +160,6 @@ def count_cells_batch_packed(
     per group, wired to the ``kernel_dispatch`` counters by
     :func:`count_cells_batch`.
     """
-    from repro.kernels.blocked import count_cells_blocked
-    from repro.kernels.moebius import count_cells_moebius
-    from repro.kernels.scan import count_cells_scan
-    from repro.kernels.sweep import count_pairs_batch, count_triples_batch
-
     candidates = list(candidates)
     if dispatcher is None:
         dispatcher = KernelDispatcher()
@@ -165,27 +174,36 @@ def count_cells_batch_packed(
         if record is not None:
             record(path, len(group))
         with dispatcher.timed(path, k, len(group), index.n_words):
-            if path == "unit":
-                n = index.n_baskets
-                counted = []
-                for items in group:
-                    count = int(index.counts[items[0]])
-                    cells = {0b1: count, 0b0: n - count}
-                    counted.append({cell: c for cell, c in cells.items() if c})
-            elif path == "gram":
-                if k == 2:
-                    counted = count_pairs_batch(index, group)
-                else:
-                    counted = count_triples_batch(index, group)
-            elif path == "blocked":
-                counted = count_cells_blocked(index, group)
-            elif path == "moebius":
-                counted = [count_cells_moebius(index, items) for items in group]
-            else:
-                counted = [count_cells_scan(index, items) for items in group]
+            counted = _count_group(index, path, group)
         for slot, cells in zip(slots, counted):
             results[slot] = cells
     return results  # type: ignore[return-value]
+
+
+def _count_group(
+    index: PackedBitmapIndex, path: str, group: Sequence[tuple[int, ...]]
+) -> list[dict[int, int]]:
+    """Sparse cell counts of a same-width group with the kernel ``path``."""
+    from repro.kernels.blocked import count_cells_blocked
+    from repro.kernels.moebius import count_cells_moebius
+    from repro.kernels.scan import count_cells_scan
+    from repro.kernels.sweep import count_closed_form_batch
+
+    if path == "unit":
+        n = index.n_baskets
+        counted = []
+        for items in group:
+            count = int(index.counts[items[0]])
+            cells = {0b1: count, 0b0: n - count}
+            counted.append({cell: c for cell, c in cells.items() if c})
+        return counted
+    if path == "gram":
+        return count_closed_form_batch(index, group)
+    if path == "blocked":
+        return count_cells_blocked(index, group)
+    if path == "moebius":
+        return [count_cells_moebius(index, items) for items in group]
+    return [count_cells_scan(index, items) for items in group]
 
 
 def _dispatch_recorder(metrics: "MetricsRegistry | None"):
@@ -218,6 +236,51 @@ def count_cells_vectorized(
     return count_cells_batch(db, [itemset], metrics=metrics)[0]
 
 
+def count_cell_matrix(
+    db: BasketDatabase,
+    itemsets: Sequence[Itemset],
+    metrics: "MetricsRegistry | None" = None,
+    dispatcher: KernelDispatcher | None = None,
+) -> CellMatrix:
+    """One same-width batch of candidates as a :class:`CellMatrix`.
+
+    The miner's per-level call under ``counting="vectorized"``: pairs
+    and triples are filled straight from the closed-form sweep columns,
+    wider itemsets by the kernel the dispatcher picks (the blocked
+    kernel writes the matrix itself).  Needs NumPy; ``metrics`` records
+    ``kernel_dispatch`` counters exactly as :func:`count_cells_batch`
+    does, and a ``dispatcher`` with a forced mode reroutes pairs and
+    triples through that kernel too.
+    """
+    from repro.kernels.blocked import blocked_cell_matrix
+    from repro.kernels.sweep import closed_form_cell_matrix
+
+    itemsets = list(itemsets)
+    k = len(itemsets[0])
+    index = db.packed_index()
+    dispatch = _dispatch_recorder(metrics)
+    ids = np.array([itemset.items for itemset in itemsets], dtype=np.intp).reshape(-1, k)
+    n_rows = ids.shape[0]
+    if k in (2, 3) and (dispatcher is None or dispatcher.mode == "auto"):
+        dispatch("gram", n_rows)
+        cells = closed_form_cell_matrix(index, ids)
+    else:
+        if dispatcher is None:
+            dispatcher = KernelDispatcher()
+        path = dispatcher.choose(k, n_rows, index.n_words)
+        dispatch(path, n_rows)
+        with dispatcher.timed(path, k, n_rows, index.n_words):
+            if path == "blocked":
+                cells = blocked_cell_matrix(index, ids)
+            else:
+                cells = np.zeros((n_rows, 1 << k), dtype=np.int64)
+                counted = _count_group(index, path, [itemset.items for itemset in itemsets])
+                for row, occupied in enumerate(counted):
+                    cells[row, list(occupied)] = list(occupied.values())
+    marginals = index.counts[ids].astype(np.float64)
+    return CellMatrix(itemsets, cells, marginals, db.n_baskets)
+
+
 def count_tables_vectorized(
     db: BasketDatabase,
     itemsets: Iterable[Itemset],
@@ -226,97 +289,39 @@ def count_tables_vectorized(
 ) -> dict[Itemset, ContingencyTable]:
     """Contingency tables for a batch of itemsets via the vectorized kernels.
 
-    The per-level call the miner's ``counting="vectorized"`` backend
-    makes — the vectorized analogue of
-    :func:`repro.core.contingency.count_tables_single_pass`.  Tables are
-    assembled straight from the sweep's cell columns (marginals come
-    from the index's item counts), skipping the intermediate dict pass
-    the shard wire format needs.  ``metrics`` records per-itemset
-    ``kernel_dispatch`` counters exactly as :func:`count_cells_batch`
-    does; a ``dispatcher`` with a forced mode reroutes pairs/triples
-    through that kernel too (the closed-form columns only serve the
-    ``auto`` fast path).
+    The vectorized analogue of
+    :func:`repro.core.contingency.count_tables_single_pass`: itemsets
+    are grouped by width, each group up to the dense-table ceiling is
+    counted as cell matrices of at most :data:`MATRIX_CHUNK_CELLS` cells
+    (:func:`count_cell_matrix`) and read back row by row, wider ones go
+    through :func:`count_cells_batch`.
+    ``metrics`` and ``dispatcher`` work as in :func:`count_cell_matrix`.
     """
     itemsets = list(itemsets)
     n = db.n_baskets
-    dispatch = _dispatch_recorder(metrics)
     if not HAS_NUMPY:
-        dispatch("fallback", len(itemsets))
+        _dispatch_recorder(metrics)("fallback", len(itemsets))
         return {
             itemset: ContingencyTable.from_database(db, itemset)
             for itemset in itemsets
         }
-    from repro.kernels.sweep import pair_cell_columns, triple_cell_columns
-
-    index = db.packed_index()
-    tables: dict[Itemset, ContingencyTable] = {}
-    pair_group: list[Itemset] = []
-    triple_group: list[Itemset] = []
-    other_group: list[Itemset] = []
-    forced = dispatcher is not None and dispatcher.mode != "auto"
+    groups: dict[int, list[Itemset]] = {}
     for itemset in itemsets:
-        k = len(itemset)
-        if k == 2 and not forced:
-            pair_group.append(itemset)
-        elif k == 3 and not forced:
-            triple_group.append(itemset)
-        else:
-            other_group.append(itemset)
-
-    if pair_group:
-        dispatch("gram", len(pair_group))
-        both, only_a, only_b, neither, count_a, count_b = pair_cell_columns(
-            index, [itemset.items for itemset in pair_group]
-        )
-        columns = zip(
-            pair_group,
-            both.tolist(),
-            only_a.tolist(),
-            only_b.tolist(),
-            neither.tolist(),
-            count_a.tolist(),
-            count_b.tolist(),
-        )
-        for itemset, c11, c01, c10, c00, ca, cb in columns:
-            cells: dict[int, float] = {}
-            if c11:
-                cells[0b11] = c11
-            if c01:
-                cells[0b01] = c01
-            if c10:
-                cells[0b10] = c10
-            if c00:
-                cells[0b00] = c00
-            tables[itemset] = ContingencyTable._from_parts(
-                itemset, cells, (float(ca), float(cb)), n
-            )
-    if triple_group:
-        dispatch("gram", len(triple_group))
-        cell_columns, (n_a, n_b, n_c) = triple_cell_columns(
-            index, [itemset.items for itemset in triple_group]
-        )
-        listed = [(cell, column.tolist()) for cell, column in cell_columns.items()]
-        marginal_rows = zip(n_a.tolist(), n_b.tolist(), n_c.tolist())
-        for i, (itemset, marginals) in enumerate(zip(triple_group, marginal_rows)):
-            cells = {}
-            for cell, column in listed:
-                count = column[i]
-                if count:
-                    cells[cell] = count
-            tables[itemset] = ContingencyTable._from_parts(
-                itemset, cells, tuple(map(float, marginals)), n
-            )
-    if other_group:
-        cell_batches = count_cells_batch(
-            db, other_group, metrics=metrics, dispatcher=dispatcher
-        )
-        for itemset, cells in zip(other_group, cell_batches):
-            marginals = tuple(
-                float(index.counts[item]) for item in itemset.items
-            )
-            tables[itemset] = ContingencyTable._from_parts(
-                itemset, cells, marginals, n
-            )
-    if len(tables) != len(itemsets):  # preserve input order on mixed batches
+        groups.setdefault(len(itemset), []).append(itemset)
+    tables: dict[Itemset, ContingencyTable] = {}
+    for k, group in sorted(groups.items()):
+        if k <= MOEBIUS_MAX_ITEMS:
+            step = MATRIX_CHUNK_CELLS >> k
+            for start in range(0, len(group), step):
+                chunk = group[start : start + step]
+                matrix = count_cell_matrix(db, chunk, metrics=metrics, dispatcher=dispatcher)
+                tables.update(zip(chunk, matrix.tables_of(range(len(chunk)))))
+            continue
+        index = db.packed_index()
+        counted = count_cells_batch(db, group, metrics=metrics, dispatcher=dispatcher)
+        for itemset, cells in zip(group, counted):
+            marginals = tuple(float(index.counts[item]) for item in itemset.items)
+            tables[itemset] = ContingencyTable._from_parts(itemset, cells, marginals, n)
+    if len(groups) > 1:  # preserve input order on mixed batches
         return {itemset: tables[itemset] for itemset in itemsets}
     return tables

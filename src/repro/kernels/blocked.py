@@ -38,7 +38,13 @@ try:
 except ImportError:  # pragma: no cover - exercised in minimal installs
     np = None  # type: ignore[assignment]
 
-__all__ = ["BLOCKED_MAX_ITEMS", "BLOCK_WORDS", "count_cells_blocked", "mask_supports"]
+__all__ = [
+    "BLOCKED_MAX_ITEMS",
+    "BLOCK_WORDS",
+    "blocked_cell_matrix",
+    "count_cells_blocked",
+    "mask_supports",
+]
 
 # Dense-table ceiling, shared with the Möbius kernels (2^k cells per row).
 BLOCKED_MAX_ITEMS = 12
@@ -75,6 +81,41 @@ def mask_supports(index: PackedBitmapIndex, ids) -> "np.ndarray":
     return g
 
 
+def _inverted_chunks(index: PackedBitmapIndex, ids):
+    """Yield ``(start, cells)`` per row chunk: the chunk's cell matrix."""
+    n_candidates, k = ids.shape
+    if k > BLOCKED_MAX_ITEMS:
+        raise ValueError(
+            f"blocked kernel handles at most {BLOCKED_MAX_ITEMS} items, got {k}"
+        )
+    width = max(1, index.n_words)
+    # Live scratch per candidate row: k gathered blocks + <= k path rows.
+    step = max(1, BLOCK_WORDS // (width * max(1, 2 * k)))
+    for start in range(0, n_candidates, step):
+        g = mask_supports(index, ids[start : start + step])
+        # In-place superset Möbius inversion along the cell axis, the
+        # candidate axis vectorized: for every mask without bit j,
+        # subtract the mask with bit j set.
+        chunk = g.shape[0]
+        for j in range(k):
+            folded = g.reshape(chunk, -1, 2, 1 << j)
+            folded[:, :, 0, :] -= folded[:, :, 1, :]
+        yield start, g
+
+
+def blocked_cell_matrix(index: PackedBitmapIndex, ids) -> "np.ndarray":
+    """The ``(c, 2^k)`` int64 cell matrix of a same-width batch.
+
+    ``ids`` is a ``(c, k)`` integer array of sorted item ids with
+    ``1 <= k <= BLOCKED_MAX_ITEMS``; row ``i`` holds every cell count of
+    candidate ``i``, zero cells included.
+    """
+    cells = np.empty((ids.shape[0], 1 << ids.shape[1]), dtype=np.int64)
+    for start, chunk in _inverted_chunks(index, ids):
+        cells[start : start + chunk.shape[0]] = chunk
+    return cells
+
+
 def count_cells_blocked(index: PackedBitmapIndex, candidates) -> list[dict[int, int]]:
     """Sparse cell counts for a same-width batch of sorted item-id tuples.
 
@@ -86,24 +127,8 @@ def count_cells_blocked(index: PackedBitmapIndex, candidates) -> list[dict[int, 
     if n_candidates == 0:
         return []
     ids = np.asarray(candidates, dtype=np.intp).reshape(n_candidates, -1)
-    k = ids.shape[1]
-    if k > BLOCKED_MAX_ITEMS:
-        raise ValueError(
-            f"blocked kernel handles at most {BLOCKED_MAX_ITEMS} items, got {k}"
-        )
-    width = max(1, index.n_words)
-    # Live scratch per candidate row: k gathered blocks + <= k path rows.
-    step = max(1, BLOCK_WORDS // (width * max(1, 2 * k)))
-    results: list[dict[int, int]] = []
-    for start in range(0, n_candidates, step):
-        g = mask_supports(index, ids[start : start + step])
-        # In-place superset Möbius inversion along the cell axis, the
-        # candidate axis vectorized: for every mask without bit j,
-        # subtract the mask with bit j set.
-        chunk = g.shape[0]
-        for j in range(k):
-            folded = g.reshape(chunk, -1, 2, 1 << j)
-            folded[:, :, 0, :] -= folded[:, :, 1, :]
-        for row in g.tolist():
-            results.append({cell: count for cell, count in enumerate(row) if count})
-    return results
+    return [
+        {cell: count for cell, count in enumerate(row) if count}
+        for _, chunk in _inverted_chunks(index, ids)
+        for row in chunk.tolist()
+    ]

@@ -10,8 +10,10 @@ pure-Python ``_cells_pair`` / ``_cells_triple`` kernels use, so counts
 are bit-identical by construction.
 
 Row blocks are processed in chunks of at most :data:`CHUNK_WORDS` words
-so peak scratch memory stays bounded (~2 x 16 MiB at the default) no
-matter how many candidates a level has.
+so peak scratch memory stays bounded (~2 x 512 KiB at the default) no
+matter how many candidates a level has.  Larger chunks buy no speed:
+the per-chunk NumPy call overhead is already amortised at this size,
+and each extra MiB of scratch shows up in the miner's peak RSS.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ except ImportError:  # pragma: no cover - exercised in minimal installs
 
 __all__ = [
     "CHUNK_WORDS",
-    "count_pairs_batch",
-    "count_triples_batch",
+    "closed_form_cell_matrix",
+    "count_closed_form_batch",
     "pair_cell_columns",
     "pair_supports",
     "triple_cell_columns",
 ]
 
 # Upper bound on uint64 words materialised per intermediate array.
-CHUNK_WORDS = 1 << 21
+CHUNK_WORDS = 1 << 16
 
 # Basket-chunk cap for the Gram-matrix path: float32 products of 0/1
 # bits stay exact integers while a partial sum fits 2^24, i.e. for
@@ -59,11 +61,6 @@ def _chunked_and_popcount(index: PackedBitmapIndex, id_arrays, out) -> None:
         for ids in id_arrays[1:]:
             block = block & packed[ids[start:stop]]
         out[start:stop] = popcount(block).sum(axis=1, dtype=np.int64)
-
-
-def _sparse(cells_and_counts) -> dict[int, int]:
-    """Drop zero cells, matching the sparse dicts of the Python kernels."""
-    return {cell: count for cell, count in cells_and_counts if count}
 
 
 def _gram_supports(index: PackedBitmapIndex, ids) -> "np.ndarray":
@@ -137,21 +134,6 @@ def pair_cell_columns(index: PackedBitmapIndex, pairs):
     return both, only_a, only_b, neither, count_a, count_b
 
 
-def count_pairs_batch(
-    index: PackedBitmapIndex, pairs
-) -> list[dict[int, int]]:
-    """Sparse 4-cell counts for a batch of item pairs, one vectorized pass."""
-    if len(pairs) == 0:
-        return []
-    both, only_a, only_b, neither, _, _ = pair_cell_columns(index, pairs)
-    return [
-        _sparse(((0b11, c11), (0b01, c01), (0b10, c10), (0b00, c00)))
-        for c11, c01, c10, c00 in zip(
-            both.tolist(), only_a.tolist(), only_b.tolist(), neither.tolist()
-        )
-    ]
-
-
 def triple_cell_columns(index: PackedBitmapIndex, triples):
     """All eight contingency cells of every triple, as int64 columns.
 
@@ -192,15 +174,35 @@ def triple_cell_columns(index: PackedBitmapIndex, triples):
     return cells, (n_a, n_b, n_c)
 
 
-def count_triples_batch(
-    index: PackedBitmapIndex, triples
-) -> list[dict[int, int]]:
-    """Sparse 8-cell counts for a batch of item triples."""
-    if len(triples) == 0:
+def closed_form_cell_matrix(index: PackedBitmapIndex, ids) -> "np.ndarray":
+    """The ``(c, 2^k)`` int64 cell matrix of a ``(c, 2)`` or ``(c, 3)`` id array.
+
+    Column ``r`` holds cell ``r`` of every candidate, filled from
+    :func:`pair_cell_columns` or :func:`triple_cell_columns`.
+    """
+    n_rows, k = ids.shape
+    cells = np.empty((n_rows, 1 << k), dtype=np.int64)
+    if k == 2:
+        both, only_a, only_b, neither, _, _ = pair_cell_columns(index, ids)
+        cells[:, 0b11] = both
+        cells[:, 0b01] = only_a
+        cells[:, 0b10] = only_b
+        cells[:, 0b00] = neither
+    elif k == 3:
+        columns, _ = triple_cell_columns(index, ids)
+        for cell, column in columns.items():
+            cells[:, cell] = column
+    else:
+        raise ValueError(f"closed forms cover pairs and triples, got {k} items")
+    return cells
+
+
+def count_closed_form_batch(index: PackedBitmapIndex, candidates) -> list[dict[int, int]]:
+    """Sparse cell counts for a same-width batch of item pairs or triples."""
+    if len(candidates) == 0:
         return []
-    cells, _ = triple_cell_columns(index, triples)
-    columns = {cell: values.tolist() for cell, values in cells.items()}
+    ids = np.asarray(candidates, dtype=np.intp).reshape(len(candidates), -1)
     return [
-        _sparse((cell, columns[cell][i]) for cell in cells)
-        for i in range(len(triples))
+        {cell: count for cell, count in enumerate(row) if count}
+        for row in closed_form_cell_matrix(index, ids).tolist()
     ]

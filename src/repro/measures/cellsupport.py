@@ -69,6 +69,20 @@ class CellSupport:
         threshold = self.count
         return sum(1 for observed in table.nonzero_counts().values() if observed >= threshold)
 
+    def supported_rows(self, cells):
+        """:meth:`__call__` for every row of a ``(c, 2^k)`` cell matrix.
+
+        Returns a boolean NumPy array; row ``i`` is True exactly when
+        the table whose cell counts it holds passes the test.
+        """
+        import numpy as np
+
+        n_rows, n_cells = cells.shape
+        needed = self.fraction * n_cells
+        if self.count <= 0:
+            return np.full(n_rows, n_cells >= needed)
+        return np.count_nonzero(cells >= self.count, axis=1) >= needed
+
     @property
     def enables_level1_pruning(self) -> bool:
         """Whether ``fraction > 0.25`` so pair-level pruning is sound."""

@@ -9,8 +9,8 @@ after the fact.
 
 The **run report** is the paper's Table 5 plus where the time went: a
 per-level row of the pruning counters (``|CAND|``, discards, ``|SIG|``,
-``|NOTSIG|``) joined with the per-level wall and counting seconds the
-tracer measured, followed by cache, kernel-dispatch, kernel-autotune
+``|NOTSIG|``) joined with the per-level wall, counting and decide seconds
+the tracer measured, followed by cache, kernel-dispatch, kernel-autotune
 and worker-pool rollups.  :meth:`Telemetry.reconcile` cross-checks the metric counters
 against the miner's own ``LevelStats`` — the two are produced by
 independent code paths, so exact agreement is a strong end-to-end
@@ -168,6 +168,7 @@ class Telemetry:
                 "not_significant": stats.not_significant,
                 "wall_seconds": stats.wall_seconds,
                 "counting_seconds": stats.counting_seconds,
+                "decide_seconds": stats.decide_seconds,
             }
             for stats in level_stats
         ]
@@ -181,6 +182,7 @@ class Telemetry:
                 "not_significant": sum(stats.not_significant for stats in level_stats),
                 "wall_seconds": sum(stats.wall_seconds for stats in level_stats),
                 "counting_seconds": sum(stats.counting_seconds for stats in level_stats),
+                "decide_seconds": sum(stats.decide_seconds for stats in level_stats),
             },
             "reconciliation": {
                 "agreed": not mismatches,
@@ -197,14 +199,15 @@ class Telemetry:
         """The human run report: Table 5 with timings, then the rollups."""
         header = (
             f"{'level':>5} {'|CAND|':>9} {'discards':>9} {'|SIG|':>7} "
-            f"{'|NOTSIG|':>9} {'wall_ms':>10} {'count_ms':>10}"
+            f"{'|NOTSIG|':>9} {'wall_ms':>10} {'count_ms':>10} {'decide_ms':>10}"
         )
         lines = ["telemetry run report", header, "-" * len(header)]
         for stats in level_stats:
             lines.append(
                 f"{stats.level:>5} {stats.candidates:>9} {stats.discarded:>9} "
                 f"{stats.significant:>7} {stats.not_significant:>9} "
-                f"{stats.wall_seconds * 1e3:>10.2f} {stats.counting_seconds * 1e3:>10.2f}"
+                f"{stats.wall_seconds * 1e3:>10.2f} {stats.counting_seconds * 1e3:>10.2f} "
+                f"{stats.decide_seconds * 1e3:>10.2f}"
             )
         mismatches = self.reconcile(level_stats) + self.reconcile_workers()
         if self.enabled:

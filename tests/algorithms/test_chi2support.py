@@ -136,13 +136,11 @@ class TestMinimality:
 
 
 class TestConfigurations:
-    @pytest.mark.parametrize("backend", ["dict", "fks"])
     @pytest.mark.parametrize("counting", ["bitmap", "single_pass", "cube"])
-    def test_backend_and_counting_equivalence(self, backend, counting):
+    def test_counting_equivalence(self, counting):
         db = make_db_with_planted_pair(seed=9)
         result = ChiSquaredSupportMiner(
             support=CellSupport(5, 0.3),
-            table_backend=backend,
             counting=counting,
         ).mine(db)
         baseline = ChiSquaredSupportMiner(support=CellSupport(5, 0.3)).mine(db)

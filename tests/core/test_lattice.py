@@ -1,10 +1,14 @@
 """Unit tests for lattice utilities."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from repro.core.itemsets import Itemset
 from repro.core.lattice import (
     all_subsets_satisfy,
+    apriori_gen,
     apriori_join,
     is_downward_closed,
     is_upward_closed,
@@ -53,6 +57,38 @@ class TestAprioriJoin:
 
     def test_empty_input(self):
         assert list(apriori_join([])) == []
+
+
+class TestAprioriGen:
+    @staticmethod
+    def probing_join(itemsets):
+        """The classic join: apriori_join, then probe every subset."""
+        members = set(itemsets)
+        return [
+            candidate
+            for candidate in apriori_join(sorted(itemsets))
+            if all(subset in members for subset in candidate.immediate_subsets())
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_probing_join_in_order(self, seed):
+        rng = random.Random(seed)
+        size = rng.randint(1, 4)
+        family = [Itemset(c) for c in combinations(range(9), size) if rng.random() < 0.6]
+        rng.shuffle(family)
+        assert apriori_gen(family) == self.probing_join(family)
+
+    def test_keeps_only_fully_supported_candidates(self):
+        pairs = [Itemset(p) for p in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)]]
+        # {1,2,4} has all three subsets; {1,3,4} lacks {3,4}.
+        assert apriori_gen(pairs) == [Itemset([1, 2, 3]), Itemset([1, 2, 4])]
+
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            apriori_gen([Itemset([1, 2]), Itemset([1, 2, 3])])
+
+    def test_empty_input(self):
+        assert apriori_gen([]) == []
 
 
 class TestSubsetChecks:

@@ -49,7 +49,7 @@ class TestMineCorrelations:
             strongly_correlated_db,
             support_count=2,
             support_fraction=0.3,
-            table_backend="fks",
+            level1_pruning=False,
             counting="single_pass",
         )
         assert len(result.rules) == 1

@@ -21,6 +21,8 @@ np = pytest.importorskip("numpy")
 
 import repro.kernels as kernels  # noqa: E402
 from repro.kernels import (  # noqa: E402
+    KernelDispatcher,
+    count_cell_matrix,
     count_cells_batch,
     count_cells_vectorized,
     count_tables_vectorized,
@@ -139,6 +141,38 @@ class TestChunking:
         itemsets += [Itemset(t) for t in combinations(range(6), 3)]
         for itemset, cells in zip(itemsets, count_cells_batch(db, itemsets)):
             assert cells == count_cells(db, itemset), itemset
+
+    def test_cell_matrix_chunked(self, monkeypatch):
+        """Pair, triple and blocked cell matrices under forced tiny chunks."""
+        db = random_db(34, 10, 400)  # 7 words per row
+        groups = [
+            [Itemset(combo) for combo in combinations(range(10), width)]
+            for width in (2, 3, 4)
+        ]
+
+        def matrix_of(group):
+            return count_cell_matrix(db, group, dispatcher=KernelDispatcher()).cells
+
+        whole = [matrix_of(group) for group in groups]
+        monkeypatch.setattr("repro.kernels.sweep.CHUNK_WORDS", 2)
+        monkeypatch.setattr("repro.kernels.blocked.BLOCK_WORDS", 8)
+        for group, unchunked in zip(groups, whole):
+            chunked = matrix_of(group)
+            assert np.array_equal(chunked, unchunked)
+            for itemset, row in zip(group, chunked.tolist()):
+                cells = {cell: count for cell, count in enumerate(row) if count}
+                assert cells == count_cells(db, itemset), itemset
+
+    def test_cell_matrix_forced_kernels(self):
+        """Every forced kernel fills the same matrix as the default path."""
+        db = random_db(35, 8, 300)
+        for width in (2, 3, 4, 5):
+            group = [Itemset(combo) for combo in combinations(range(8), width)]
+            reference = count_cell_matrix(db, group)
+            for mode in ("blocked", "moebius", "scan"):
+                forced = count_cell_matrix(db, group, dispatcher=KernelDispatcher(mode=mode))
+                assert np.array_equal(forced.cells, reference.cells), (width, mode)
+                assert np.array_equal(forced.marginals, reference.marginals)
 
     def test_gram_chunked(self, monkeypatch):
         monkeypatch.setattr("repro.kernels.sweep._GRAM_CHUNK_WORDS", 1)

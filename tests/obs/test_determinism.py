@@ -70,6 +70,30 @@ class TestDeterminism:
         for stats in result.level_stats:
             assert stats.wall_seconds > 0.0
             assert 0.0 < stats.counting_seconds <= stats.wall_seconds
+            assert 0.0 < stats.decide_seconds
+            assert stats.counting_seconds + stats.decide_seconds <= stats.wall_seconds
+
+    @pytest.mark.parametrize("counting", ["vectorized", "bitmap"])
+    def test_level_timings_are_their_spans(self, quest_db, counting):
+        """counting_seconds/decide_seconds are exactly the level's spans."""
+        telemetry, result = mine_with_fake_clock(quest_db, counting=counting)
+        (mine,) = telemetry.tracer.roots
+        levels = [span for span in mine.children if span.name == "mine.level"]
+        assert len(levels) == len(result.level_stats)
+        for span, stats in zip(levels, result.level_stats):
+            by_name: dict[str, float] = {}
+            for child in span.children:
+                by_name[child.name] = by_name.get(child.name, 0.0) + child.duration
+            assert by_name["mine.level.count"] == stats.counting_seconds
+            assert by_name["mine.level.decide"] == stats.decide_seconds
+        report = result.run_report()
+        assert report["totals"]["decide_seconds"] == sum(
+            stats.decide_seconds for stats in result.level_stats
+        )
+        assert [level["decide_seconds"] for level in report["levels"]] == [
+            stats.decide_seconds for stats in result.level_stats
+        ]
+        assert "decide_ms" in result.render_telemetry()
 
 
 class TestReconciliation:

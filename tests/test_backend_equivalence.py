@@ -1,11 +1,10 @@
 """Differential backend-equivalence harness.
 
-The miner exposes two hash-table backends (``dict``, ``fks``) and six
-counting backends (``bitmap``, ``single_pass``, ``cube``,
-``vectorized``, ``parallel``, ``fptree``).  All twelve combinations
-implement the *same* Figure 1 algorithm, so on any database they must
-produce
-identical ``SIG`` borders, level stats, and supported-uncorrelated sets
+The miner exposes six counting backends (``bitmap``, ``single_pass``,
+``cube``, ``vectorized``, ``parallel``, ``fptree``).  All six implement
+the *same* Figure 1 algorithm and feed the same columnar decision, so
+on any database they must produce identical ``SIG`` borders, rule
+order, level stats, and supported-uncorrelated sets
 — and every contingency table any of them builds must match a
 brute-force ``2^m``-cell enumerator that classifies each basket into
 its presence/absence cell by definition.  The parallel engine is
@@ -48,7 +47,6 @@ try:
 except ImportError:  # pragma: no cover - exercised in minimal installs
     HAS_HYPOTHESIS = False
 
-TABLE_BACKENDS = ("dict", "fks")
 COUNTING_BACKENDS = ("bitmap", "single_pass", "cube", "vectorized", "parallel", "fptree")
 
 SIGNIFICANCE = 0.95
@@ -145,12 +143,10 @@ def random_baskets(rng: random.Random, n_items: int, n_baskets: int) -> list[lis
 def _signature(result):
     """Everything a refactor could silently change, in comparable form.
 
-    Rules are sorted by itemset: discovery order within a level is
-    deterministic, but the level-``i+1`` candidate order follows the
-    NOTSIG table's iteration order, which the hash backends are free to
-    choose differently.
+    Rules stay in discovery order: every backend feeds the same decision
+    and the same join, so the order is part of what must agree.
     """
-    rules = sorted(result.rules, key=lambda rule: rule.itemset)
+    rules = result.rules
     return (
         [rule.itemset for rule in rules],
         [rule.statistic for rule in rules],
@@ -168,20 +164,18 @@ def assert_all_backends_agree(baskets: list[list[int]], n_items: int) -> None:
         return
 
     reference = None
-    for table_backend in TABLE_BACKENDS:
-        for counting in COUNTING_BACKENDS:
-            miner = ChiSquaredSupportMiner(
-                significance=SIGNIFICANCE,
-                support=SUPPORT,
-                table_backend=table_backend,
-                counting=counting,
-                workers=1,  # in-process: keeps the property loop fast
-            )
-            signature = _signature(miner.mine(db))
-            if reference is None:
-                reference = signature
-                continue
-            assert signature == reference, (table_backend, counting)
+    for counting in COUNTING_BACKENDS:
+        miner = ChiSquaredSupportMiner(
+            significance=SIGNIFICANCE,
+            support=SUPPORT,
+            counting=counting,
+            workers=1,  # in-process: keeps the property loop fast
+        )
+        signature = _signature(miner.mine(db))
+        if reference is None:
+            reference = signature
+            continue
+        assert signature == reference, counting
 
     assert reference is not None
     sig_itemsets, notsig_itemsets = reference_mine(db)
